@@ -9,9 +9,42 @@
 
 use cqcount_arith::prng::Rng;
 use cqcount_bench::{bench_ns, fmt_duration, print_table};
-use cqcount_relational::algebra::join_hash_baseline;
-use cqcount_relational::{wcoj_join, Bindings, Value, WcojInput};
+use cqcount_relational::{wcoj_join, Bindings, FxHashMap, Value, WcojInput};
 use std::time::Duration;
+
+/// The straw-man join the kernels are measured against: hashes a
+/// materialized `Vec<Value>` key per row into a per-call table and builds
+/// every output row as its own `Vec`, then canonicalizes through
+/// [`Bindings::from_rows`] — the allocation profile the sort-merge kernel
+/// in [`Bindings::join`] was written to eliminate.
+fn join_hash_baseline(left: &Bindings, right: &Bindings) -> Bindings {
+    let shared: Vec<(usize, usize)> = left
+        .cols()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| right.cols().iter().position(|d| d == c).map(|j| (i, j)))
+        .collect();
+    let extra: Vec<usize> = (0..right.cols().len())
+        .filter(|j| shared.iter().all(|&(_, sj)| sj != *j))
+        .collect();
+    let mut index: FxHashMap<Vec<Value>, Vec<&[Value]>> = FxHashMap::default();
+    for row in right.rows() {
+        let key: Vec<Value> = shared.iter().map(|&(_, j)| row[j]).collect();
+        index.entry(key).or_default().push(row);
+    }
+    let mut out_cols = left.cols().to_vec();
+    out_cols.extend(extra.iter().map(|&j| right.cols()[j]));
+    let mut rows = Vec::new();
+    for lrow in left.rows() {
+        let key: Vec<Value> = shared.iter().map(|&(i, _)| lrow[i]).collect();
+        for rrow in index.get(&key).into_iter().flatten() {
+            let mut row = lrow.to_vec();
+            row.extend(extra.iter().map(|&j| rrow[j]));
+            rows.push(row);
+        }
+    }
+    Bindings::from_rows(out_cols, rows)
+}
 
 struct Case {
     kernel: &'static str,

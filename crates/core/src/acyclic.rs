@@ -5,7 +5,7 @@
 use cqcount_arith::Natural;
 use cqcount_hypergraph::{join_forest, Hypergraph};
 use cqcount_relational::consistency::full_reduce;
-use cqcount_relational::{Bindings, FxHashMap, Tuple};
+use cqcount_relational::{Bindings, FxHashMap, Tuple, Value};
 
 /// Counts the number of tuples in the natural join of the given views —
 /// i.e. the number of assignments over the union of their columns — in time
@@ -93,11 +93,15 @@ pub fn count_over_tree(
 
         let mut my_map: FxHashMap<Tuple, Natural> = FxHashMap::default();
         let mut my_total = Natural::ZERO;
+        // Keys are gathered into one reused buffer and looked up as
+        // borrowed slices; only a new distinct key is ever allocated.
+        let mut key: Vec<Value> = Vec::new();
         for row in views[v].rows() {
             let mut cnt = Natural::ONE;
             for (pos, cmap) in &child_info {
-                let key: Tuple = pos.iter().map(|&p| row[p]).collect();
-                match cmap.get(&key) {
+                key.clear();
+                key.extend(pos.iter().map(|&p| row[p]));
+                match cmap.get(key.as_slice()) {
                     Some(c) => cnt *= c,
                     None => {
                         cnt = Natural::ZERO;
@@ -109,8 +113,14 @@ pub fn count_over_tree(
                 continue;
             }
             if parent[v].is_some() {
-                let key: Tuple = key_positions.iter().map(|&p| row[p]).collect();
-                *my_map.entry(key).or_insert(Natural::ZERO) += &cnt;
+                key.clear();
+                key.extend(key_positions.iter().map(|&p| row[p]));
+                match my_map.get_mut(key.as_slice()) {
+                    Some(sum) => *sum += &cnt,
+                    None => {
+                        my_map.insert(key.as_slice().into(), cnt);
+                    }
+                }
             } else {
                 my_total += &cnt;
             }
@@ -126,7 +136,6 @@ pub fn count_over_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqcount_relational::Value;
 
     fn b(cols: &[u32], rows: &[&[u32]]) -> Bindings {
         Bindings::from_rows(

@@ -65,7 +65,7 @@ pub fn for_each_answer_with<F>(
         /// positions (in this vertex's column list) of parent-shared cols
         key_positions: Vec<usize>,
         /// row groups by key
-        index: FxHashMap<Tuple, Vec<Tuple>>,
+        index: FxHashMap<Tuple, Bindings>,
         /// this vertex's columns
         cols: Vec<u32>,
     }
@@ -79,11 +79,10 @@ pub fn for_each_answer_with<F>(
             let key_positions: Vec<usize> = (0..cols.len())
                 .filter(|&i| parent_cols.contains(&cols[i]))
                 .collect();
-            let mut index: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
-            for row in projected[v].rows() {
-                let key: Tuple = key_positions.iter().map(|&p| row[p]).collect();
-                index.entry(key).or_default().push(row.clone());
-            }
+            let index: FxHashMap<Tuple, Bindings> = projected[v]
+                .partition_by(&parent_cols)
+                .into_iter()
+                .collect();
             VertexPlan {
                 key_positions,
                 index,
@@ -121,7 +120,7 @@ pub fn for_each_answer_with<F>(
             // Cannot happen after global consistency; defensive.
             return true;
         };
-        for row in rows {
+        for row in rows.rows() {
             let mut added = Vec::new();
             for (i, &col) in plan.cols.iter().enumerate() {
                 if let std::collections::hash_map::Entry::Vacant(e) = assignment.entry(col) {

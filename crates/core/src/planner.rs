@@ -198,12 +198,15 @@ pub fn prepare_plan_budgeted(
     width_cap: usize,
     budget: &Budget,
 ) -> PreparedPlan {
+    let kernel = JoinKernel::from_env();
+    // The WidthSearch is built lazily so a budget tripped before planning
+    // even starts degrades without paying for the core computation.
+    // Declared before the span, it is dropped after the span closes: the
+    // span times the search, not the teardown of its memo.
+    let mut search: Option<WidthSearch> = None;
     let sp = cqcount_obs::trace::span("plan.decompose");
     let mut degraded = false;
     let mut sharp = None;
-    // The WidthSearch is built lazily so a budget tripped before planning
-    // even starts degrades without paying for the core computation.
-    let mut search: Option<WidthSearch> = None;
     for k in 1..=width_cap {
         if budget.is_exceeded() {
             degraded = true;
@@ -232,7 +235,7 @@ pub fn prepare_plan_budgeted(
         width_cap,
         degree_cap: DEGREE_CAP,
         degraded,
-        kernel: JoinKernel::from_env(),
+        kernel,
     }
 }
 

@@ -156,13 +156,14 @@ pub fn bag_views_with_kernel(
         let chi_cols: Vec<u32> = ht.chi[p].to_vec();
         let lam = &ht.lambda[p];
         if wcoj_applies(q, lam, kernel) {
-            return wcoj_bag(q, db, lam).project(&chi_cols);
+            return wcoj_bag(q, db, lam).into_projection(&chi_cols);
         }
-        let mut acc = Bindings::unit();
-        for &ai in lam {
-            acc = acc.join(&atom_bindings(&q.atoms()[ai], db));
-        }
-        acc.project(&chi_cols)
+        // Fold the λ-atoms starting from the first atom's scan.
+        let mut atoms = lam.iter().map(|&ai| atom_bindings(&q.atoms()[ai], db));
+        let first = atoms.next().unwrap_or_else(Bindings::unit);
+        atoms
+            .fold(first, |acc, atom| acc.join(&atom))
+            .into_projection(&chi_cols)
     })
 }
 

@@ -182,7 +182,7 @@ pub fn count_with_view_set(
         for bag_view in bag_views.iter_mut() {
             let qcols: &[u32] = relations[i].cols();
             if qcols.iter().all(|c| bag_view.cols().contains(c)) {
-                *bag_view = bag_view.semijoin(&relations[i]);
+                bag_view.semijoin_in_place(&relations[i]);
             }
         }
     }
@@ -236,7 +236,7 @@ mod tests {
         let mut rels = vs.standard_extension(&q, &db);
         // Drop a tuple from the first query view: misses solutions.
         let keep: Vec<Vec<cqcount_relational::Value>> =
-            rels[0].rows().iter().skip(1).map(|t| t.to_vec()).collect();
+            rels[0].rows().skip(1).map(|t| t.to_vec()).collect();
         rels[0] = Bindings::from_rows(rels[0].cols().to_vec(), keep);
         assert!(!vs.is_legal(&q, &db, &rels));
     }

@@ -13,6 +13,7 @@ use crate::Hypertree;
 use cqcount_arith::Rational;
 use cqcount_hypergraph::{Hypergraph, NodeSet};
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Maximizes `c·x` subject to `A x ≤ b`, `x ≥ 0` with `b ≥ 0`, by the
 /// primal simplex method with Bland's anti-cycling rule over exact
@@ -121,8 +122,10 @@ pub fn fractional_edge_cover_number(target: &NodeSet, edges: &[NodeSet]) -> Opti
 fn fractional_candidates(
     edges: Vec<NodeSet>,
     k: Rational,
-) -> impl FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> {
-    let mut rho_cache: HashMap<NodeSet, Option<Rational>> = HashMap::new();
+) -> impl Fn(&NodeSet, &NodeSet) -> Vec<Candidate> + Sync {
+    // Shared by concurrent calls; the lock covers one lookup or one
+    // insert, never the LP solve.
+    let rho_cache: Mutex<HashMap<NodeSet, Option<Rational>>> = Mutex::new(HashMap::new());
     move |conn, comp| {
         let free: Vec<u32> = comp.to_vec();
         assert!(
@@ -137,10 +140,13 @@ fn fractional_candidates(
                     bag.insert(x);
                 }
             }
-            let rho = rho_cache
-                .entry(bag.clone())
-                .or_insert_with(|| fractional_edge_cover_number(&bag, &edges))
-                .clone();
+            let cache = || rho_cache.lock().expect("a ρ* computation panicked");
+            let cached = cache().get(&bag).cloned();
+            let rho = cached.unwrap_or_else(|| {
+                let rho = fractional_edge_cover_number(&bag, &edges);
+                cache().insert(bag.clone(), rho.clone());
+                rho
+            });
             if rho.is_some_and(|r| r <= k) {
                 out.push((bag, Vec::new()));
             }

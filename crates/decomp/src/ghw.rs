@@ -438,7 +438,7 @@ impl GhwSearch {
 fn eager_union_candidates(
     resources: Vec<NodeSet>,
     k: usize,
-) -> impl FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> {
+) -> impl Fn(&NodeSet, &NodeSet) -> Vec<Candidate> + Sync {
     let all_combos = combinations_upto(resources.len(), k);
     let mut combos: Vec<(NodeSet, Vec<usize>, bool)> =
         cqcount_exec::par_map(&all_combos, |combo| {
@@ -652,7 +652,7 @@ mod tests {
         let g = h(&[&[0, 1], &[1, 2], &[2, 3], &[3, 0], &[1, 3], &[0, 2, 4]]);
         let resources = g.edges().to_vec();
         for k in 1..=3 {
-            let mut eager = eager_union_candidates(resources.clone(), k);
+            let eager = eager_union_candidates(resources.clone(), k);
             let mut space = UnionSpace::new(resources.clone());
             space.extend_to(k);
             // Representative blocks: the whole graph, a sub-component with

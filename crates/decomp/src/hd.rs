@@ -21,7 +21,7 @@ use cqcount_hypergraph::{Hypergraph, NodeSet};
 fn hd_candidates(
     resources: Vec<NodeSet>,
     k: usize,
-) -> impl FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> {
+) -> impl Fn(&NodeSet, &NodeSet) -> Vec<Candidate> + Sync {
     let combos: Vec<(NodeSet, Vec<usize>)> = combinations_upto(resources.len(), k)
         .into_iter()
         .map(|combo| {

@@ -475,17 +475,17 @@ fn flatten(forest: &[Arc<BagNode>]) -> Hypertree {
     Hypertree::from_parts(chi, lambda, parent)
 }
 
-/// Adapts a (possibly stateful) candidate closure to [`CandidateSource`]
-/// by serializing calls through a mutex. Stateless closures keep full
-/// block-level parallelism; only candidate *generation* serializes.
-struct ClosureSource<F>(Mutex<F>);
+/// Adapts a candidate closure to [`CandidateSource`]. The closure is
+/// shared across workers and called concurrently; no lock is held around
+/// it, so a provider may itself fan out over the pool.
+struct ClosureSource<F>(F);
 
 impl<F> CandidateSource for ClosureSource<F>
 where
-    F: FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> + Send,
+    F: Fn(&NodeSet, &NodeSet) -> Vec<Candidate> + Sync,
 {
     fn open<'a>(&'a self, conn: &NodeSet, comp: &NodeSet) -> BlockCandidates<'a> {
-        let cands = (self.0.lock().unwrap())(conn, comp);
+        let cands = (self.0)(conn, comp);
         BlockCandidates {
             universe_hash: None,
             stream: Box::new(cands.into_iter()),
@@ -500,13 +500,15 @@ where
 /// contain) and the current component `comp` (the bag must stay within
 /// `conn ∪ comp` and intersect `comp`); it may return candidates violating
 /// these side conditions — they are filtered — but returning fewer saves
-/// work. Returns a [`Hypertree`] whose `λ` holds the candidate payloads, or
-/// `None` if no decomposition exists.
+/// work. The closure is called concurrently from the pool's workers; a
+/// provider with a cache keeps it behind its own lock, held only for one
+/// lookup or insert. Returns a [`Hypertree`] whose `λ` holds the candidate
+/// payloads, or `None` if no decomposition exists.
 pub fn decompose<F>(h1: &Hypergraph, candidates: F) -> Option<Hypertree>
 where
-    F: FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> + Send,
+    F: Fn(&NodeSet, &NodeSet) -> Vec<Candidate> + Sync,
 {
-    Engine::new(h1).decompose(&ClosureSource(Mutex::new(candidates)))
+    Engine::new(h1).decompose(&ClosureSource(candidates))
 }
 
 #[cfg(test)]
@@ -519,7 +521,7 @@ mod tests {
 
     /// Candidate provider: all subsets of the given resource edges that
     /// contain `conn` (the generic "tree projection w.r.t. H2" provider).
-    fn subsets_of(resources: Vec<NodeSet>) -> impl FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> {
+    fn subsets_of(resources: Vec<NodeSet>) -> impl Fn(&NodeSet, &NodeSet) -> Vec<Candidate> + Sync {
         move |conn, comp| {
             let allowed = conn.union(comp);
             let mut out = Vec::new();

@@ -9,7 +9,7 @@ use crate::tp::{decompose, Candidate};
 use crate::Hypertree;
 use cqcount_hypergraph::{Hypergraph, NodeSet};
 
-fn sized_candidates(k: usize) -> impl FnMut(&NodeSet, &NodeSet) -> Vec<Candidate> {
+fn sized_candidates(k: usize) -> impl Fn(&NodeSet, &NodeSet) -> Vec<Candidate> + Sync {
     move |conn, comp| {
         let max_bag = k + 1;
         if conn.len() > max_bag {

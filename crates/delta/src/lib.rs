@@ -226,7 +226,7 @@ impl MaterializedCount {
                 let cnt = mc.row_count(v, row);
                 for (j, pos) in mc.vertices[v].child_pos.iter().enumerate() {
                     let key: Tuple = pos.iter().map(|&p| row[p]).collect();
-                    child_index[j].entry(key).or_default().push(row.clone());
+                    child_index[j].entry(key).or_default().push(row.into());
                 }
                 if is_root {
                     total += &cnt;
@@ -234,7 +234,7 @@ impl MaterializedCount {
                     let key: Tuple = mc.vertices[v].up_pos.iter().map(|&p| row[p]).collect();
                     *up_map.entry(key).or_insert(Natural::ZERO) += &cnt;
                 }
-                rows.insert(row.clone(), cnt);
+                rows.insert(row.into(), cnt);
             }
             let vert = &mut mc.vertices[v];
             vert.rows = rows;

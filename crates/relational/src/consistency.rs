@@ -32,10 +32,7 @@ pub fn pairwise_consistency(views: &mut [Bindings]) -> bool {
             let mut v = views[i].clone();
             for (j, w) in views.iter().enumerate() {
                 if i != j {
-                    let r = v.semijoin(w);
-                    if r.len() != v.len() {
-                        v = r;
-                    }
+                    v.semijoin_in_place(w);
                 }
             }
             v
@@ -68,16 +65,22 @@ pub fn pairwise_consistency(views: &mut [Bindings]) -> bool {
 pub fn full_reduce(views: &mut [Bindings], parent: &[Option<usize>], order: &[usize]) {
     assert_eq!(views.len(), parent.len());
     assert_eq!(views.len(), order.len());
+    // Each step shrinks `views[to]` in place by `views[from]`.
+    let reduce = |views: &mut [Bindings], to: usize, from: usize| {
+        let mut target = std::mem::take(&mut views[to]);
+        target.semijoin_in_place(&views[from]);
+        views[to] = target;
+    };
     // Upward: process children before parents.
     for &v in order {
         if let Some(p) = parent[v] {
-            views[p] = views[p].semijoin(&views[v]);
+            reduce(views, p, v);
         }
     }
     // Downward: process parents before children.
     for &v in order.iter().rev() {
         if let Some(p) = parent[v] {
-            views[v] = views[v].semijoin(&views[p]);
+            reduce(views, v, p);
         }
     }
 }

@@ -6,26 +6,14 @@
 //! projection. Functional dependencies (keys) give degree 1; quasi-keys give
 //! small constants; the hybrid method of Section 6 exploits exactly this.
 
-use crate::fxhash::FxHashMap;
-use crate::{Bindings, Col, Tuple};
+use crate::{Bindings, Col};
 
 impl Bindings {
     /// `deg(F, self)`: the maximum number of rows sharing one projection
     /// onto `group_cols` (columns not present in `self` are ignored).
     /// Returns 0 for an empty bindings set.
     pub fn degree_wrt(&self, group_cols: &[Col]) -> usize {
-        let positions: Vec<usize> = (0..self.cols().len())
-            .filter(|&i| group_cols.contains(&self.cols()[i]))
-            .collect();
-        let mut counts: FxHashMap<Tuple, usize> = FxHashMap::default();
-        let mut max = 0;
-        for row in self.rows() {
-            let key: Tuple = positions.iter().map(|&p| row[p]).collect();
-            let c = counts.entry(key).or_insert(0);
-            *c += 1;
-            max = max.max(*c);
-        }
-        max
+        self.largest_group(group_cols)
     }
 
     /// Returns `true` iff `group_cols` functionally determine the remaining

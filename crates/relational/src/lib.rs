@@ -9,7 +9,8 @@
 //! * [`Relation`] — a positional relation (set of tuples of a fixed arity);
 //! * [`Database`] — named relations over a shared interner;
 //! * [`Bindings`] — a set of substitutions over a sorted list of columns
-//!   (variables), with hash-join, semijoin, projection and selection;
+//!   (variables), stored as one flat row-major buffer, with sort-merge
+//!   join, semijoin, projection and selection;
 //! * [`consistency`] — the pairwise-consistency fixpoint used by local
 //!   consistency arguments (Lemma 4.3, Theorem 3.7) and the join-tree full
 //!   reducer (upward + downward semijoin passes, which on an acyclic schema

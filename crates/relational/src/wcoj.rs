@@ -20,7 +20,7 @@
 //! sorted union of columns, so the resulting [`Bindings`] needs no
 //! canonicalizing sort either.
 
-use crate::{Bindings, Col, Relation, Tuple, Value};
+use crate::{Bindings, Col, Relation, Value};
 
 /// Which join kernel a plan (or a bag) should use. The planner selects
 /// [`Wcoj`](JoinKernel::Wcoj) for cyclic bags; `CQCOUNT_JOIN_KERNEL`
@@ -49,34 +49,21 @@ impl JoinKernel {
     }
 }
 
-/// A sorted row set the kernel can descend: boxed [`Bindings`] rows or a
-/// flat frozen page viewed in place.
+/// A sorted row set the kernel can descend, viewed in place: a flat
+/// row-major buffer — a [`Bindings`] buffer or a frozen page — with its
+/// row width and row count. The count is carried explicitly because a
+/// nullary row set holding the empty tuple has an empty buffer.
 #[derive(Clone, Copy)]
-enum RowsView<'a> {
-    Boxed(&'a [Tuple]),
-    Flat { values: &'a [Value], arity: usize },
+struct RowsView<'a> {
+    values: &'a [Value],
+    arity: usize,
+    len: usize,
 }
 
 impl<'a> RowsView<'a> {
-    fn len(&self) -> usize {
-        match self {
-            RowsView::Boxed(rows) => rows.len(),
-            RowsView::Flat { values, arity } => {
-                if *arity == 0 {
-                    usize::from(!values.is_empty())
-                } else {
-                    values.len() / arity
-                }
-            }
-        }
-    }
-
     #[inline]
     fn get(&self, row: usize, pos: usize) -> Value {
-        match self {
-            RowsView::Boxed(rows) => rows[row][pos],
-            RowsView::Flat { values, arity } => values[row * arity + pos],
-        }
+        self.values[row * self.arity + pos]
     }
 }
 
@@ -92,7 +79,11 @@ impl<'a> WcojInput<'a> {
     /// global order.
     pub fn from_bindings(b: &'a Bindings) -> WcojInput<'a> {
         WcojInput {
-            rows: RowsView::Boxed(b.rows()),
+            rows: RowsView {
+                values: b.values(),
+                arity: b.cols().len(),
+                len: b.len(),
+            },
             cols: b.cols(),
         }
     }
@@ -109,9 +100,10 @@ impl<'a> WcojInput<'a> {
             return None;
         }
         Some(WcojInput {
-            rows: RowsView::Flat {
+            rows: RowsView {
                 values,
                 arity: rel.arity(),
+                len: rel.len(),
             },
             cols,
         })
@@ -169,8 +161,8 @@ pub fn wcoj_join(inputs: &[WcojInput]) -> Bindings {
 
     // A nullary input (all-constant atom) is a filter: empty kills the
     // join, the unit row is a no-op.
-    if inputs.iter().any(|i| i.rows.len() == 0) {
-        return Bindings::from_sorted_rows(vars, Vec::new());
+    if inputs.iter().any(|i| i.rows.len == 0) {
+        return Bindings::empty(vars);
     }
     if vars.is_empty() {
         return Bindings::unit();
@@ -188,7 +180,7 @@ pub fn wcoj_join(inputs: &[WcojInput]) -> Bindings {
             Cursor {
                 rows: i.rows,
                 pos,
-                stack: vec![(0, i.rows.len())],
+                stack: vec![(0, i.rows.len)],
             }
         })
         .collect();
@@ -201,10 +193,11 @@ pub fn wcoj_join(inputs: &[WcojInput]) -> Bindings {
         })
         .collect();
 
-    let mut out: Vec<Tuple> = Vec::new();
+    let mut out: Vec<Value> = Vec::new();
     let mut current = vec![Value(0); vars.len()];
     descend(0, &active, &mut cursors, &mut current, &mut out);
-    Bindings::from_sorted_rows(vars, out)
+    let len = out.len() / vars.len();
+    Bindings::from_sorted_flat(vars, out, len)
 }
 
 fn descend(
@@ -212,7 +205,7 @@ fn descend(
     active: &[Vec<usize>],
     cursors: &mut [Cursor],
     current: &mut Vec<Value>,
-    out: &mut Vec<Tuple>,
+    out: &mut Vec<Value>,
 ) {
     // Work on a *copy* of each participating cursor's current range: the
     // level loop advances its frame destructively, and the same range must
@@ -232,7 +225,7 @@ fn level_loop(
     active: &[Vec<usize>],
     cursors: &mut [Cursor],
     current: &mut Vec<Value>,
-    out: &mut Vec<Tuple>,
+    out: &mut Vec<Value>,
 ) {
     let level = &active[depth];
     debug_assert!(!level.is_empty(), "a union column belongs to some input");
@@ -280,7 +273,7 @@ fn level_loop(
         }
         current[depth] = val;
         if depth + 1 == current.len() {
-            out.push(current.clone().into_boxed_slice());
+            out.extend_from_slice(current);
         } else {
             descend(depth + 1, active, cursors, current, out);
         }
@@ -347,7 +340,7 @@ mod tests {
         ];
         let out = wcoj_join(&views);
         assert_eq!(out.cols(), &[0, 1, 2]);
-        assert!(!out.rows().is_empty());
+        assert!(!out.is_empty());
     }
 
     #[test]
@@ -362,7 +355,7 @@ mod tests {
         let r = b(&[0, 1], &[&[1, 2]]);
         let s = b(&[1, 2], &[]);
         let views = [WcojInput::from_bindings(&r), WcojInput::from_bindings(&s)];
-        assert!(wcoj_join(&views).rows().is_empty());
+        assert!(wcoj_join(&views).is_empty());
     }
 
     #[test]

@@ -17,5 +17,9 @@ fn frozen_arity0_wcoj() {
     ];
     let out = wcoj_join(&views);
     // p is true (len 1), so the join should equal e: 1 row.
-    assert_eq!(out.rows().len(), 1, "nonempty nullary atom must be a no-op filter, got empty join");
+    assert_eq!(
+        out.rows().len(),
+        1,
+        "nonempty nullary atom must be a no-op filter, got empty join"
+    );
 }

@@ -73,7 +73,7 @@ fn main() {
     };
     let last = padded.len() - 1;
     let mut rows: Vec<Vec<cqcount::relational::Value>> =
-        padded[last].rows().iter().map(|t| t.to_vec()).collect();
+        padded[last].rows().map(|t| t.to_vec()).collect();
     rows.push(extra);
     padded[last] = Bindings::from_rows(padded[last].cols().to_vec(), rows);
     let (n2, _) = count_with_view_set(&q, &vs, &padded).unwrap();
